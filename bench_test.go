@@ -352,3 +352,32 @@ func BenchmarkWallClockQuery1(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkJoinAlloc reports the bytes and allocations one execution of a
+// join-heavy query costs on each engine, uninstrumented. Probe matches
+// build each output row through storage.JoinRow, which copies only the
+// columns the plan reads later, so B/op here tracks join output width:
+//
+//	go test -run XXX -bench JoinAlloc -benchmem .
+func BenchmarkJoinAlloc(b *testing.B) {
+	r := benchRunner(b)
+	for _, q := range []struct{ name, sql string }{
+		{"TPCH-Q5", bench.TPCHQ5},
+		{"Query3", bench.Query3},
+	} {
+		p, err := r.Plan(q.sql, sql.Options{ForceJoin: sql.JoinHash})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, engine := range []plan.Engine{plan.EngineVolcano, plan.EngineVec, plan.EnginePush} {
+			b.Run(q.name+"/"+engine.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := r.MeasureWallEngine(p, engine); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -208,6 +208,28 @@ func (c *Context) Write(addr uint64, size int) {
 	}
 }
 
+// WriteRow models writing a freshly built row into arena. A row's byte
+// width is a simulator-only quantity, so it is computed only when a
+// simulated CPU is attached.
+func (c *Context) WriteRow(arena *Arena, row storage.Row) {
+	if c.CPU != nil {
+		n := row.ByteSize()
+		c.Write(arena.Alloc(n), n)
+	}
+}
+
+// WriteJoinRow models writing one join output row into arena. Every join
+// implementation (exec, vec and push) charges through it. The simulator
+// sees the full width of outer ++ inner whatever the join's emit list
+// copies, so projecting joins leave single-join simulated counts
+// unchanged; the width is computed only when a simulated CPU is attached.
+func (c *Context) WriteJoinRow(arena *Arena, outer, inner storage.Row) {
+	if c.CPU != nil {
+		n := outer.ByteSize() + inner.ByteSize()
+		c.Write(arena.Alloc(n), n)
+	}
+}
+
 // DataBits combines a meaningful outcome bit (bit 0: predicate result, join
 // match, …) with pseudo-random noise bits for the remaining data-dependent
 // branch sites of a module.

@@ -33,12 +33,14 @@ func keyEval(e expr.Expr, row storage.Row) (int64, bool, error) {
 
 // NestLoopJoin is an (index) nested-loop join: for each outer tuple it
 // rescans the inner operator with the outer key and emits the
-// concatenation of outer and inner rows.
+// concatenation of outer and inner rows (restricted to the emit list, see
+// SetEmit).
 type NestLoopJoin struct {
 	Outer    Operator
 	Inner    Rescannable
 	OuterKey expr.Expr
-	// Residual is an optional extra predicate over the concatenated row.
+	// Residual is an optional extra predicate over the full concatenated
+	// row, evaluated before the emit list projects it.
 	Residual expr.Expr
 
 	module *codemodel.Module
@@ -47,6 +49,7 @@ type NestLoopJoin struct {
 	fault  *faultinject.Point
 	arena  *Arena
 	schema storage.Schema
+	emit   []int
 
 	outerRow storage.Row
 	opened   bool
@@ -61,12 +64,19 @@ func NewNestLoopJoin(outer Operator, inner Rescannable, outerKey expr.Expr, resi
 		Residual: residual,
 		module:   module,
 		label:    'N',
-		schema:   outer.Schema().Concat(inner.Schema()),
+		schema:   storage.JoinSchema(outer.Schema(), inner.Schema(), nil),
 	}
 }
 
 // SetTraceLabel sets the trace label.
 func (j *NestLoopJoin) SetTraceLabel(b byte) { j.label = b }
+
+// SetEmit restricts the join's output to the given positions of
+// outer ++ inner (nil keeps every column); see storage.JoinRow.
+func (j *NestLoopJoin) SetEmit(emit []int) {
+	j.emit = emit
+	j.schema = storage.JoinSchema(j.Outer.Schema(), j.Inner.Schema(), emit)
+}
 
 // Open implements Operator.
 func (j *NestLoopJoin) Open(ctx *Context) error {
@@ -133,9 +143,8 @@ func (j *NestLoopJoin) Next(ctx *Context) (res storage.Row, err error) {
 			ctx.ExecModule(j.module, ctx.DataBits(false))
 			continue
 		}
-		out := j.outerRow.Concat(inner)
 		if j.Residual != nil {
-			match, err := expr.EvalBool(j.Residual, out)
+			match, err := expr.EvalBool(j.Residual, storage.JoinRow(j.outerRow, inner, nil))
 			if err != nil {
 				return nil, err
 			}
@@ -145,8 +154,8 @@ func (j *NestLoopJoin) Next(ctx *Context) (res storage.Row, err error) {
 			}
 		}
 		ctx.ExecModule(j.module, ctx.DataBits(true))
-		ctx.Write(j.arena.Alloc(out.ByteSize()), out.ByteSize())
-		return out, nil
+		ctx.WriteJoinRow(j.arena, j.outerRow, inner)
+		return storage.JoinRow(j.outerRow, inner, j.emit), nil
 	}
 }
 
@@ -196,6 +205,7 @@ type HashJoin struct {
 	publishFault *faultinject.Point
 	arena        *Arena
 	schema       storage.Schema
+	emit         []int
 	shared       *SharedBuild
 
 	table        map[int64][]storage.Row
@@ -219,12 +229,19 @@ func NewHashJoin(outer, inner Operator, outerKey, innerKey expr.Expr, buildModul
 		buildModule: buildModule,
 		probeModule: probeModule,
 		label:       'H',
-		schema:      outer.Schema().Concat(inner.Schema()),
+		schema:      storage.JoinSchema(outer.Schema(), inner.Schema(), nil),
 	}
 }
 
 // SetTraceLabel sets the trace label.
 func (j *HashJoin) SetTraceLabel(b byte) { j.label = b }
+
+// SetEmit restricts the join's output to the given positions of
+// outer ++ inner (nil keeps every column); see storage.JoinRow.
+func (j *HashJoin) SetEmit(emit []int) {
+	j.emit = emit
+	j.schema = storage.JoinSchema(j.Outer.Schema(), j.Inner.Schema(), emit)
+}
 
 // SetShared wires the build side to the semantic reuse cache; see
 // SharedBuild. Must be set before Open.
@@ -345,11 +362,10 @@ func (j *HashJoin) Next(ctx *Context) (res storage.Row, err error) {
 		if j.currentPos < len(j.current) {
 			inner := j.current[j.currentPos]
 			j.currentPos++
-			out := j.outerRow.Concat(inner)
 			ctx.ExecModule(j.probeModule, ctx.DataBits(true))
 			ctx.Read(j.bucketAddr(0), 16) // bucket chain advance
-			ctx.Write(j.arena.Alloc(out.ByteSize()), out.ByteSize())
-			return out, nil
+			ctx.WriteJoinRow(j.arena, j.outerRow, inner)
+			return storage.JoinRow(j.outerRow, inner, j.emit), nil
 		}
 		row, err := j.Outer.Next(ctx)
 		if err != nil {
@@ -425,6 +441,7 @@ type MergeJoin struct {
 	fault  *faultinject.Point
 	arena  *Arena
 	schema storage.Schema
+	emit   []int
 
 	leftRow   storage.Row
 	leftKey   int64
@@ -446,12 +463,19 @@ func NewMergeJoin(left, right Operator, leftKey, rightKey expr.Expr, module *cod
 		RightKey: rightKey,
 		module:   module,
 		label:    'M',
-		schema:   left.Schema().Concat(right.Schema()),
+		schema:   storage.JoinSchema(left.Schema(), right.Schema(), nil),
 	}
 }
 
 // SetTraceLabel sets the trace label.
 func (j *MergeJoin) SetTraceLabel(b byte) { j.label = b }
+
+// SetEmit restricts the join's output to the given positions of
+// left ++ right (nil keeps every column); see storage.JoinRow.
+func (j *MergeJoin) SetEmit(emit []int) {
+	j.emit = emit
+	j.schema = storage.JoinSchema(j.Left.Schema(), j.Right.Schema(), emit)
+}
 
 // Open implements Operator.
 func (j *MergeJoin) Open(ctx *Context) error {
@@ -570,11 +594,11 @@ func (j *MergeJoin) Next(ctx *Context) (res storage.Row, err error) {
 		switch {
 		case j.leftKey == j.groupKey && len(j.group) > 0:
 			if j.groupPos < len(j.group) {
-				out := j.leftRow.Concat(j.group[j.groupPos])
+				right := j.group[j.groupPos]
 				j.groupPos++
 				ctx.ExecModule(j.module, ctx.DataBits(true))
-				ctx.Write(j.arena.Alloc(out.ByteSize()), out.ByteSize())
-				return out, nil
+				ctx.WriteJoinRow(j.arena, j.leftRow, right)
+				return storage.JoinRow(j.leftRow, right, j.emit), nil
 			}
 			j.groupPos = 0
 			if err := j.advanceLeft(ctx); err != nil {

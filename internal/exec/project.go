@@ -157,7 +157,7 @@ func (p *Project) Next(ctx *Context) (res storage.Row, err error) {
 		out[i] = v
 	}
 	ctx.ExecModule(p.module, ctx.DataBits(true))
-	ctx.Write(p.arena.Alloc(out.ByteSize()), out.ByteSize())
+	ctx.WriteRow(p.arena, out)
 	return out, nil
 }
 

@@ -71,7 +71,7 @@ func NestLoopJoin(outer, inner *Node, outerKey expr.Expr, residual expr.Expr) (*
 		Children: []*Node{outer, inner},
 		OuterKey: outerKey,
 		Residual: residual,
-		schema:   outer.schema.Concat(inner.schema),
+		schema:   storage.JoinSchema(outer.schema, inner.schema, nil),
 	}
 	n.EstRows = outer.EstRows * inner.EstRows
 	return n, nil
@@ -93,7 +93,7 @@ func HashJoin(outer, inner *Node, outerKey, innerKey expr.Expr) *Node {
 		Children: []*Node{outer, build},
 		OuterKey: outerKey,
 		InnerKey: innerKey,
-		schema:   outer.schema.Concat(inner.schema),
+		schema:   storage.JoinSchema(outer.schema, inner.schema, nil),
 	}
 	// Key-foreign-key equi-join estimate: every outer row matches the
 	// average number of inner rows per key.
@@ -108,10 +108,40 @@ func MergeJoin(left, right *Node, leftKey, rightKey expr.Expr) *Node {
 		Children: []*Node{left, right},
 		OuterKey: leftKey,
 		InnerKey: rightKey,
-		schema:   left.schema.Concat(right.schema),
+		schema:   storage.JoinSchema(left.schema, right.schema, nil),
 	}
 	n.EstRows = left.EstRows * matchesPerKey(right)
 	return n
+}
+
+// SetEmit makes the join node n emit only the given positions of its
+// outer ++ inner concatenation, in that order, and narrows its schema to
+// match. The planner calls it with the columns some later operator reads,
+// so probe matches copy those values instead of full-width tuples. A list
+// naming every position in order is stored as nil, the full-width path.
+// A nest-loop Residual still sees the full concatenation: it is evaluated
+// before the emit list projects the row.
+func (n *Node) SetEmit(emit []int) error {
+	switch n.Kind {
+	case KindHashJoin, KindMergeJoin, KindNestLoopJoin:
+	default:
+		return fmt.Errorf("plan: emit list on non-join %v", n.Kind)
+	}
+	outer, inner := n.Children[0].schema, n.Children[1].schema
+	width := len(outer) + len(inner)
+	full := len(emit) == width
+	for i, p := range emit {
+		if p < 0 || p >= width {
+			return fmt.Errorf("plan: emit position %d out of range [0,%d)", p, width)
+		}
+		full = full && p == i
+	}
+	if full {
+		emit = nil
+	}
+	n.Emit = emit
+	n.schema = storage.JoinSchema(outer, inner, emit)
+	return nil
 }
 
 // Sort constructs a blocking sort.

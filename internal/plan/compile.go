@@ -106,7 +106,9 @@ func buildNode(n *Node, cm *codemodel.Catalog, child func(*Node) (exec.Operator,
 		if !ok {
 			return nil, fmt.Errorf("plan: nest-loop inner %s is not rescannable", innerOp.Name())
 		}
-		return exec.NewNestLoopJoin(outer, inner, n.OuterKey, n.Residual, mod), nil
+		nl := exec.NewNestLoopJoin(outer, inner, n.OuterKey, n.Residual, mod)
+		nl.SetEmit(n.Emit)
+		return nl, nil
 
 	case KindHashJoin:
 		outer, err := child(n.Children[0])
@@ -126,6 +128,7 @@ func buildNode(n *Node, cm *codemodel.Catalog, child func(*Node) (exec.Operator,
 			return nil, err
 		}
 		hj := exec.NewHashJoin(outer, inner, n.OuterKey, build.InnerKey, buildMod, mod)
+		hj.SetEmit(n.Emit)
 		if build.Shared != nil {
 			hj.SetShared(build.Shared)
 		}
@@ -143,7 +146,9 @@ func buildNode(n *Node, cm *codemodel.Catalog, child func(*Node) (exec.Operator,
 		if err != nil {
 			return nil, err
 		}
-		return exec.NewMergeJoin(left, right, n.OuterKey, n.InnerKey, mod), nil
+		mj := exec.NewMergeJoin(left, right, n.OuterKey, n.InnerKey, mod)
+		mj.SetEmit(n.Emit)
+		return mj, nil
 
 	case KindSort:
 		c, err := child(n.Children[0])

@@ -231,6 +231,7 @@ func (vc *vecCompiler) vec(n *Node) (vec.Operator, error) {
 			return nil, err
 		}
 		op := vec.NewHashJoin(outer, inner, n.OuterKey, build.InnerKey, buildMod, mod, 0)
+		op.SetEmit(n.Emit)
 		if build.Shared != nil {
 			op.SetShared(build.Shared)
 		}

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"bufferdb/internal/expr"
@@ -176,7 +177,7 @@ func (c *canonicalizer) node(n *Node) (string, bool) {
 		if !ok {
 			return "", false
 		}
-		return "hj(ok=" + k + "," + outer + "," + build + ")", true
+		return "hj(ok=" + k + emitKey(n) + "," + outer + "," + build + ")", true
 
 	case KindMergeJoin:
 		left, ok := c.node(n.Children[0])
@@ -195,7 +196,7 @@ func (c *canonicalizer) node(n *Node) (string, bool) {
 		if !ok {
 			return "", false
 		}
-		return "mj(" + lk + "," + rk + "," + left + "," + right + ")", true
+		return "mj(" + lk + "," + rk + emitKey(n) + "," + left + "," + right + ")", true
 
 	case KindNestLoopJoin:
 		outer, ok := c.node(n.Children[0])
@@ -218,7 +219,7 @@ func (c *canonicalizer) node(n *Node) (string, bool) {
 			}
 			res = r
 		}
-		return "nl(k=" + k + ",r=" + res + "," + outer + "," + inner + ")", true
+		return "nl(k=" + k + ",r=" + res + emitKey(n) + "," + outer + "," + inner + ")", true
 
 	case KindSort:
 		child, ok := c.node(n.Children[0])
@@ -254,6 +255,19 @@ func (c *canonicalizer) node(n *Node) (string, bool) {
 		// anything unknown: refuse rather than risk a wrong equality.
 		return "", false
 	}
+}
+
+// emitKey renders a projecting join's emit list, so joins emitting
+// different columns never share an entry. Full-width joins render "".
+func emitKey(n *Node) string {
+	if n.Emit == nil {
+		return ""
+	}
+	parts := make([]string, len(n.Emit))
+	for i, p := range n.Emit {
+		parts[i] = strconv.Itoa(p)
+	}
+	return ",e=[" + strings.Join(parts, ";") + "]"
 }
 
 // conjuncts flattens an AND-chain into its canonicalized operand set.

@@ -103,6 +103,10 @@ type Node struct {
 	InnerKey expr.Expr
 	Residual expr.Expr
 
+	// Emit lists the positions of a join's outer ++ inner concatenation
+	// the join outputs, in order (nil = every column). See SetEmit.
+	Emit []int
+
 	// SortKeys order a Sort node's output.
 	SortKeys []exec.SortKey
 
@@ -188,13 +192,13 @@ func (n *Node) label() string {
 		}
 		return fmt.Sprintf("IndexFullScan(%s.%s)", n.Table.Name(), n.Index.Column)
 	case KindNestLoopJoin:
-		return fmt.Sprintf("NestLoopJoin(key=%s)", n.OuterKey)
+		return fmt.Sprintf("NestLoopJoin(key=%s%s)", n.OuterKey, n.emitLabel())
 	case KindHashBuild:
 		return fmt.Sprintf("HashBuild(key=%s)", n.InnerKey)
 	case KindHashJoin:
-		return fmt.Sprintf("HashJoin(%s = %s)", n.OuterKey, n.InnerKey)
+		return fmt.Sprintf("HashJoin(%s = %s%s)", n.OuterKey, n.InnerKey, n.emitLabel())
 	case KindMergeJoin:
-		return fmt.Sprintf("MergeJoin(%s = %s)", n.OuterKey, n.InnerKey)
+		return fmt.Sprintf("MergeJoin(%s = %s%s)", n.OuterKey, n.InnerKey, n.emitLabel())
 	case KindSort:
 		keys := make([]string, len(n.SortKeys))
 		for i, k := range n.SortKeys {
@@ -233,6 +237,16 @@ func (n *Node) label() string {
 	default:
 		return n.Kind.String()
 	}
+}
+
+// emitLabel renders a projecting join's emitted width against the full
+// outer ++ inner width, e.g. ", cols=2/25"; full-width joins render "".
+func (n *Node) emitLabel() string {
+	if n.Emit == nil {
+		return ""
+	}
+	width := len(n.Children[0].schema) + len(n.Children[1].schema)
+	return fmt.Sprintf(", cols=%d/%d", len(n.Emit), width)
 }
 
 // Explain renders the plan tree with cardinality estimates.

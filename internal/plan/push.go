@@ -152,7 +152,7 @@ func (pc *pushCompiler) chain(b *push.Builder, n *Node) error {
 		if err := pc.chainChild(inner, build.Children[0]); err != nil {
 			return err
 		}
-		probeH, buildH := b.Probe(inner, n.OuterKey, build.InnerKey, buildMod, mod)
+		probeH, buildH := b.Probe(inner, n.OuterKey, build.InnerKey, n.Emit, buildMod, mod)
 		if build.Shared != nil {
 			push.SetSharedBuild(buildH, build.Shared)
 		}

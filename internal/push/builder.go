@@ -130,9 +130,10 @@ func (b *Builder) Limit(n int) any {
 
 // Probe joins the current pipe against a build side assembled in inner:
 // inner's pipe is sealed with a hash-build breaker (scheduled before this
-// pipe runs) and a probe stage is appended here. Returns the probe and
-// build elements.
-func (b *Builder) Probe(inner *Builder, outerKey, innerKey expr.Expr, buildMod, probeMod *codemodel.Module) (probe, build any) {
+// pipe runs) and a probe stage is appended here. The probe emits the
+// positions of outer ++ inner listed in emit (nil keeps every column).
+// Returns the probe and build elements.
+func (b *Builder) Probe(inner *Builder, outerKey, innerKey expr.Expr, emit []int, buildMod, probeMod *codemodel.Module) (probe, build any) {
 	if b.err == nil && inner.err != nil {
 		b.err = inner.err
 	}
@@ -155,12 +156,12 @@ func (b *Builder) Probe(inner *Builder, outerKey, innerKey expr.Expr, buildMod, 
 	b.pipes = append(b.pipes, inner.cur)
 	b.fallbacks = append(b.fallbacks, inner.fallbacks...)
 
-	ps := &probeStage{build: bs, outerKey: outerKey}
+	ps := &probeStage{build: bs, outerKey: outerKey, emit: emit}
 	ps.mod = probeMod
 	outerTop := b.top
 	b.stage(ps, func([]any) {})
 	ps.repChildren = []any{outerTop, bs}
-	b.sch = b.sch.Concat(inner.sch)
+	b.sch = storage.JoinSchema(b.sch, inner.sch, emit)
 	return ps, bs
 }
 

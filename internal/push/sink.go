@@ -188,6 +188,7 @@ type aggSink struct {
 	publishFault *faultinject.Point
 	shared       *exec.SharedAgg
 
+	keys         *exec.GroupKeys
 	groups       map[string]*aggGroup
 	order        []string
 	memUsed      int64
@@ -209,6 +210,7 @@ func (a *aggSink) open(ctx *exec.Context) error {
 	a.fault = ctx.FaultPoint(a.name() + ":next")
 	a.publishFault = ctx.FaultPoint(a.name() + ":publish")
 	a.start = time.Now()
+	a.keys = exec.NewGroupKeys(a.groupBy)
 	a.groups = make(map[string]*aggGroup)
 	a.order = nil
 	ctx.ShrinkMem(a.memUsed) // reopen without Close: release stale charges
@@ -221,19 +223,6 @@ func (a *aggSink) open(ctx *exec.Context) error {
 	return nil
 }
 
-// groupAddr maps a group key to its simulated accumulator address,
-// identically to exec.Aggregate.
-func (a *aggSink) groupAddr(key string) uint64 {
-	if a.tableRegion == 0 {
-		return 0
-	}
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * 1099511628211
-	}
-	return a.tableRegion + (h%a.tableBuckets)*64
-}
-
 func (a *aggSink) consume(ctx *exec.Context, row storage.Row) error {
 	if err := ctx.Canceled(); err != nil {
 		return err
@@ -244,17 +233,13 @@ func (a *aggSink) consume(ctx *exec.Context, row storage.Row) error {
 	if a.stats != nil {
 		a.stats.Calls++
 	}
-	keyVals := make(storage.Row, len(a.groupBy))
-	for i, g := range a.groupBy {
-		v, err := g.Eval(row)
-		if err != nil {
-			return err
-		}
-		keyVals[i] = v
+	enc, err := a.keys.Eval(row)
+	if err != nil {
+		return err
 	}
-	key := keyVals.String()
-	grp, ok := a.groups[key]
+	grp, ok := a.groups[string(enc)]
 	if !ok {
+		key, keyVals := string(enc), a.keys.Vals().Clone()
 		charge := int64(len(key)) + int64(keyVals.ByteSize()) +
 			int64(len(a.aggs))*hashEntryOverhead
 		if err := ctx.GrowMem(charge); err != nil {
@@ -277,9 +262,11 @@ func (a *aggSink) consume(ctx *exec.Context, row storage.Row) error {
 			return err
 		}
 	}
-	addr := a.groupAddr(key)
-	ctx.Read(addr, 64)
-	ctx.Write(addr, 64)
+	if ctx.CPU != nil {
+		addr := a.keys.SimAddr(a.tableRegion, a.tableBuckets)
+		ctx.Read(addr, 64)
+		ctx.Write(addr, 64)
+	}
 	a.add(ctx, !ok)
 	return nil
 }

@@ -83,7 +83,7 @@ func (p *projectStage) process(ctx *exec.Context, row storage.Row, next emitFn) 
 		out[i] = v
 	}
 	p.add(ctx, true)
-	ctx.Write(p.arena.Alloc(out.ByteSize()), out.ByteSize())
+	ctx.WriteRow(p.arena, out)
 	if p.stats != nil {
 		p.stats.Rows++
 	}
@@ -148,12 +148,14 @@ func (l *limitStage) Name() string { return l.name() }
 func (l *limitStage) ReportChildren() []any { return l.repChildren }
 
 // probeStage probes an upstream buildSink's hash table with each outer
-// row, emitting outer⨝inner concatenations in build-insertion order —
-// bit-identical to exec.HashJoin's probe phase, including the NULL-key,
-// bucket-read and arena-write modeling and the "<name>:next" fault site.
+// row, emitting outer⨝inner rows (restricted to the emit list) in
+// build-insertion order — bit-identical to exec.HashJoin's probe phase,
+// including the NULL-key, bucket-read and arena-write modeling and the
+// "<name>:next" fault site.
 type probeStage struct {
 	build    *buildSink
 	outerKey expr.Expr
+	emit     []int
 	modbuf
 
 	stats *exec.OpStats
@@ -190,14 +192,13 @@ func (j *probeStage) process(ctx *exec.Context, row storage.Row, next emitFn) er
 	matches := j.build.table[key]
 	j.add(ctx, len(matches) > 0)
 	for _, inner := range matches {
-		out := row.Concat(inner)
 		j.add(ctx, true)
 		ctx.Read(j.build.bucketAddr(0), 16) // bucket chain advance
-		ctx.Write(j.arena.Alloc(out.ByteSize()), out.ByteSize())
+		ctx.WriteJoinRow(j.arena, row, inner)
 		if j.stats != nil {
 			j.stats.Rows++
 		}
-		if err := next(ctx, out); err != nil {
+		if err := next(ctx, storage.JoinRow(row, inner, j.emit)); err != nil {
 			return err
 		}
 	}

@@ -3,6 +3,7 @@ package sql
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 
@@ -129,6 +130,25 @@ type boundTable struct {
 type analyzer struct {
 	cat *storage.Catalog
 	opt Options
+
+	// pushdown holds each binding's single-table conjuncts, which its scan
+	// evaluates.
+	pushdown map[string][]Node
+}
+
+// joinStep is one left-deep join: the table joined in and the equi-join
+// condition connecting it to the tables joined before it. accCol is the
+// colKey of the accumulated side's key column.
+type joinStep struct {
+	bt                 boundTable
+	accIdent, newIdent *Ident
+	accCol             string
+}
+
+// colKey identifies a column by table binding and name, so the two copies
+// of a column in a self-join stay apart.
+func colKey(binding, name string) string {
+	return strings.ToLower(binding) + "." + strings.ToLower(name)
 }
 
 func (a *analyzer) plan(stmt *SelectStmt) (*plan.Node, error) {
@@ -169,7 +189,7 @@ func (a *analyzer) plan(stmt *SelectStmt) (*plan.Node, error) {
 	type joinCond struct {
 		l, r *Ident // l = r
 	}
-	pushdown := map[string][]Node{}
+	a.pushdown = map[string][]Node{}
 	var joinConds []joinCond
 	var residual []Node
 	for _, c := range conjuncts {
@@ -185,7 +205,7 @@ func (a *analyzer) plan(stmt *SelectStmt) (*plan.Node, error) {
 			} else {
 				b = strings.ToLower(tables[0].ref.Binding())
 			}
-			pushdown[b] = append(pushdown[b], c)
+			a.pushdown[b] = append(a.pushdown[b], c)
 		case 2:
 			if l, r, ok := asEquiJoin(c); ok {
 				joinConds = append(joinConds, joinCond{l: l, r: r})
@@ -200,7 +220,7 @@ func (a *analyzer) plan(stmt *SelectStmt) (*plan.Node, error) {
 	// Base access paths with pushed-down predicates.
 	baseFor := func(bt boundTable) (*plan.Node, error) {
 		var filter expr.Expr
-		for _, c := range pushdown[strings.ToLower(bt.ref.Binding())] {
+		for _, c := range a.pushdownFor(bt) {
 			e, err := a.toExpr(c, bt.scope)
 			if err != nil {
 				return nil, err
@@ -214,19 +234,15 @@ func (a *analyzer) plan(stmt *SelectStmt) (*plan.Node, error) {
 		return plan.SeqScan(bt.table, filter), nil
 	}
 
-	// Left-deep join in FROM order.
-	cur, err := baseFor(tables[0])
-	if err != nil {
-		return nil, err
-	}
-	curScope := tables[0].scope
+	// Left-deep join order (FROM order): pick, for each table after the
+	// first, an unconsumed equi-join condition connecting it to the tables
+	// before it.
 	joined := map[string]bool{strings.ToLower(tables[0].ref.Binding()): true}
-
 	consumed := make([]bool, len(joinConds))
+	var steps []joinStep
 	for _, bt := range tables[1:] {
 		b := strings.ToLower(bt.ref.Binding())
-		// Find a join condition connecting the accumulated side to bt.
-		var accIdent, newIdent *Ident
+		var st joinStep
 		for i, jc := range joinConds {
 			if consumed[i] {
 				continue
@@ -235,18 +251,71 @@ func (a *analyzer) plan(stmt *SelectStmt) (*plan.Node, error) {
 			rb, _ := a.bindingOfIdent(jc.r, tables)
 			switch {
 			case joined[lb] && rb == b:
-				accIdent, newIdent = jc.l, jc.r
+				st = joinStep{bt: bt, accIdent: jc.l, newIdent: jc.r, accCol: colKey(lb, jc.l.Name)}
 			case joined[rb] && lb == b:
-				accIdent, newIdent = jc.r, jc.l
+				st = joinStep{bt: bt, accIdent: jc.r, newIdent: jc.l, accCol: colKey(rb, jc.r.Name)}
 			}
-			if accIdent != nil {
+			if st.accIdent != nil {
 				consumed[i] = true
 				break
 			}
 		}
-		if accIdent == nil {
+		if st.accIdent == nil {
 			return nil, fmt.Errorf("sql: no equi-join condition connects table %q (cross joins unsupported)", bt.ref.Binding())
 		}
+		steps = append(steps, st)
+		joined[b] = true
+	}
+
+	// Columns read above the joins: residual filters, unconsumed equi-join
+	// conditions, and the select list, GROUP BY and ORDER BY. A SELECT *
+	// reads every column, so its joins keep full width (later == nil).
+	var above []Node
+	for i, jc := range joinConds {
+		if !consumed[i] {
+			above = append(above, jc.l, jc.r)
+		}
+	}
+	above = append(above, residual...)
+	star := false
+	for _, item := range stmt.Items {
+		star = star || item.Star
+		if !item.Star {
+			above = append(above, item.Expr)
+		}
+	}
+	above = append(above, stmt.GroupBy...)
+	var later []map[string]bool
+	if !star {
+		reads, err := a.columnsRead(above, tables, false)
+		if err != nil {
+			return nil, err
+		}
+		// ORDER BY usually names output columns or ordinals; only items
+		// that resolve to a table column count.
+		for _, o := range stmt.OrderBy {
+			orderReads, _ := a.columnsRead([]Node{o.Expr}, tables, true)
+			maps.Copy(reads, orderReads)
+		}
+		// later[i] is what operators above join step i read: everything
+		// above the joins plus the outer keys of the steps after it.
+		later = make([]map[string]bool, len(steps))
+		for i := len(steps) - 1; i >= 0; i-- {
+			later[i] = maps.Clone(reads)
+			reads[steps[i].accCol] = true
+		}
+	}
+
+	// Build the joins, each emitting only what the operators above it
+	// read. The scope narrows with every join, so every later expression
+	// resolves directly against the narrowed rows.
+	cur, err := baseFor(tables[0])
+	if err != nil {
+		return nil, err
+	}
+	curScope := tables[0].scope
+	for i, st := range steps {
+		bt, accIdent, newIdent := st.bt, st.accIdent, st.newIdent
 		accCol, err := curScope.resolve(accIdent.Table, accIdent.Name)
 		if err != nil {
 			return nil, err
@@ -263,7 +332,11 @@ func (a *analyzer) plan(stmt *SelectStmt) (*plan.Node, error) {
 			return nil, err
 		}
 		curScope = curScope.concat(bt.scope)
-		joined[b] = true
+		if later != nil {
+			if curScope, err = narrow(cur, curScope, later[i]); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	// Unconsumed equi-join conditions (a table connected by more than one
@@ -330,6 +403,48 @@ func (a *analyzer) plan(stmt *SelectStmt) (*plan.Node, error) {
 	return finalNode, nil
 }
 
+// narrow restricts the join node j to the columns of its full output
+// scope sc that keep lists, and returns the narrowed scope with positions
+// renumbered to match the emitted rows.
+func narrow(j *plan.Node, sc *scope, keep map[string]bool) (*scope, error) {
+	var emit []int
+	out := &scope{}
+	for _, c := range sc.cols {
+		if keep[colKey(c.binding, c.name)] {
+			emit = append(emit, c.pos)
+			c.pos = len(out.cols)
+			out.cols = append(out.cols, c)
+		}
+	}
+	if emit == nil {
+		emit = []int{} // nothing read above: emit zero-width rows
+	}
+	if err := j.SetEmit(emit); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// columnsRead returns the colKeys of every table column the expressions
+// reference. With lenient set, identifiers that name no table column
+// (output aliases in ORDER BY) are skipped instead of failing.
+func (a *analyzer) columnsRead(nodes []Node, tables []boundTable, lenient bool) (map[string]bool, error) {
+	out := map[string]bool{}
+	for _, n := range nodes {
+		for _, id := range idents(n) {
+			b, err := a.bindingOfIdent(id, tables)
+			if err != nil {
+				if lenient {
+					continue
+				}
+				return nil, err
+			}
+			out[colKey(b, id.Name)] = true
+		}
+	}
+	return out, nil
+}
+
 // join builds one join step with the configured method.
 func (a *analyzer) join(outer *plan.Node, bt boundTable, outerKey, innerKey *expr.ColRef,
 	baseFor func(boundTable) (*plan.Node, error)) (*plan.Node, error) {
@@ -384,9 +499,13 @@ func (a *analyzer) join(outer *plan.Node, bt boundTable, outerKey, innerKey *exp
 	}
 }
 
-// pushdownFor is a placeholder hook: the current planner refuses nest-loop
-// inners with pushed-down predicates rather than losing them silently.
-func (a *analyzer) pushdownFor(boundTable) []Node { return nil }
+// pushdownFor returns the single-table conjuncts pushed down to bt's scan.
+// Index-driven join inners cannot evaluate them, so the planner refuses a
+// nest-loop inner that has any and sorts a filtered scan for a merge join
+// instead of reading the index.
+func (a *analyzer) pushdownFor(bt boundTable) []Node {
+	return a.pushdown[strings.ToLower(bt.ref.Binding())]
+}
 
 // planAggregate builds Aggregate (+ Project for the select-list shape).
 func (a *analyzer) planAggregate(stmt *SelectStmt, child *plan.Node, sc *scope) (*plan.Node, error) {
@@ -595,69 +714,63 @@ func (a *analyzer) orderKeys(items []OrderItem, final *plan.Node) ([]exec.SortKe
 	return keys, nil
 }
 
-// bindingsOf returns the distinct table bindings an expression references.
-func (a *analyzer) bindingsOf(n Node, tables []boundTable) ([]string, error) {
-	set := map[string]bool{}
-	var walk func(n Node) error
-	walk = func(n Node) error {
+// idents returns every column identifier an expression references.
+func idents(n Node) []*Ident {
+	var out []*Ident
+	var walk func(n Node)
+	walk = func(n Node) {
 		switch e := n.(type) {
 		case *Ident:
-			b, err := a.bindingOfIdent(e, tables)
-			if err != nil {
-				return err
-			}
-			set[b] = true
+			out = append(out, e)
 		case *BinaryExpr:
-			if err := walk(e.L); err != nil {
-				return err
-			}
-			return walk(e.R)
+			walk(e.L)
+			walk(e.R)
 		case *UnaryExpr:
-			return walk(e.E)
+			walk(e.E)
 		case *BetweenExpr:
-			for _, s := range []Node{e.E, e.Lo, e.Hi} {
-				if err := walk(s); err != nil {
-					return err
-				}
-			}
+			walk(e.E)
+			walk(e.Lo)
+			walk(e.Hi)
 		case *LikeExpr:
-			return walk(e.E)
+			walk(e.E)
 		case *IsNullExpr:
-			return walk(e.E)
+			walk(e.E)
 		case *FuncCall:
 			if e.Arg != nil {
-				return walk(e.Arg)
+				walk(e.Arg)
 			}
 		case *CaseExpr:
 			for _, w := range e.Whens {
-				if err := walk(w.Cond); err != nil {
-					return err
-				}
-				if err := walk(w.Then); err != nil {
-					return err
-				}
+				walk(w.Cond)
+				walk(w.Then)
 			}
 			if e.Else != nil {
-				return walk(e.Else)
+				walk(e.Else)
 			}
 		case *InExpr:
-			if err := walk(e.E); err != nil {
-				return err
-			}
+			walk(e.E)
 			for _, item := range e.List {
-				if err := walk(item); err != nil {
-					return err
-				}
+				walk(item)
 			}
 		}
-		return nil
 	}
-	if err := walk(n); err != nil {
-		return nil, err
-	}
+	walk(n)
+	return out
+}
+
+// bindingsOf returns the distinct table bindings an expression references.
+func (a *analyzer) bindingsOf(n Node, tables []boundTable) ([]string, error) {
+	set := map[string]bool{}
 	var out []string
-	for b := range set {
-		out = append(out, b)
+	for _, id := range idents(n) {
+		b, err := a.bindingOfIdent(id, tables)
+		if err != nil {
+			return nil, err
+		}
+		if !set[b] {
+			set[b] = true
+			out = append(out, b)
+		}
 	}
 	return out, nil
 }

@@ -276,3 +276,47 @@ func TestFingerprintEndToEndReuse(t *testing.T) {
 		t.Errorf("stats hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
 	}
 }
+
+// joinFingerprint plans a query and fingerprints its topmost join.
+func joinFingerprint(t *testing.T, query string) string {
+	t.Helper()
+	p, err := PlanQuery(query, testDB, Options{})
+	if err != nil {
+		t.Fatalf("plan %q: %v", query, err)
+	}
+	var join *plan.Node
+	plan.Walk(p, func(n *plan.Node) {
+		if join == nil && n.Kind == plan.KindHashJoin {
+			join = n
+		}
+	})
+	if join == nil {
+		t.Fatalf("no hash join in %q", query)
+	}
+	key, _, ok := plan.Fingerprint(join, nil)
+	if !ok {
+		t.Fatalf("fingerprint refused the join of %q", query)
+	}
+	return key
+}
+
+// TestFingerprintJoinEmit: a projecting join's key includes its emit list,
+// so joins of the same inputs that emit different columns never share an
+// entry, while alias renaming (same columns, new names) still collides.
+func TestFingerprintJoinEmit(t *testing.T) {
+	const (
+		prices   = "SELECT o_totalprice FROM orders, lineitem WHERE o_orderkey = l_orderkey"
+		quantity = "SELECT l_quantity FROM orders, lineitem WHERE o_orderkey = l_orderkey"
+		aliasA   = "SELECT x.o_totalprice AS p FROM orders x, lineitem y WHERE x.o_orderkey = y.l_orderkey"
+		aliasB   = "SELECT a.o_totalprice AS q FROM orders a, lineitem b WHERE b.l_orderkey = a.o_orderkey"
+	)
+	if joinFingerprint(t, prices) == joinFingerprint(t, quantity) {
+		t.Error("joins emitting different columns share a fingerprint")
+	}
+	if a, b := joinFingerprint(t, aliasA), joinFingerprint(t, aliasB); a != b {
+		t.Errorf("alias-renamed joins differ:\n  %s\n  %s", a, b)
+	}
+	if joinFingerprint(t, prices) != joinFingerprint(t, aliasA) {
+		t.Error("the same projection under aliases changed the join fingerprint")
+	}
+}

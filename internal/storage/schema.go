@@ -49,12 +49,23 @@ func (s Schema) ColumnIndex(table, name string) (int, error) {
 	return found, nil
 }
 
-// Concat returns the schema of the concatenation of two row shapes, as
-// produced by a join operator.
-func (s Schema) Concat(other Schema) Schema {
-	out := make(Schema, 0, len(s)+len(other))
-	out = append(out, s...)
-	out = append(out, other...)
+// JoinSchema returns the row shape a join emits: the concatenation
+// outer ++ inner restricted to the positions in emit, in emit order. A nil
+// emit list keeps every column.
+func JoinSchema(outer, inner Schema, emit []int) Schema {
+	if emit == nil {
+		out := make(Schema, 0, len(outer)+len(inner))
+		out = append(out, outer...)
+		return append(out, inner...)
+	}
+	out := make(Schema, len(emit))
+	for i, p := range emit {
+		if p < len(outer) {
+			out[i] = outer[p]
+		} else {
+			out[i] = inner[p-len(outer)]
+		}
+	}
 	return out
 }
 
@@ -93,11 +104,26 @@ func (r Row) ByteSize() int {
 	return n
 }
 
-// Concat returns the concatenation of two rows into a freshly allocated row.
-func (r Row) Concat(other Row) Row {
-	out := make(Row, 0, len(r)+len(other))
-	out = append(out, r...)
-	out = append(out, other...)
+// JoinRow builds one join output row: the concatenation outer ++ inner
+// restricted to the positions in emit, in emit order, freshly allocated.
+// Only the emitted values are copied, so a join that feeds two columns to
+// its parent copies two values, not the full width of both inputs. A nil
+// emit list keeps every column. The inputs are never modified or retained.
+func JoinRow(outer, inner Row, emit []int) Row {
+	if emit == nil {
+		out := make(Row, len(outer)+len(inner))
+		copy(out, outer)
+		copy(out[len(outer):], inner)
+		return out
+	}
+	out := make(Row, len(emit))
+	for i, p := range emit {
+		if p < len(outer) {
+			out[i] = outer[p]
+		} else {
+			out[i] = inner[p-len(outer)]
+		}
+	}
 	return out
 }
 

@@ -46,9 +46,12 @@ func TestSchemaColumnIndex(t *testing.T) {
 func TestSchemaConcatAndString(t *testing.T) {
 	s := testSchema()
 	u := Schema{{Table: "u", Name: "x", Type: TypeDate}}
-	cat := s.Concat(u)
+	cat := JoinSchema(s, u, nil)
 	if len(cat) != 4 || cat[3].Name != "x" {
-		t.Errorf("Concat = %v", cat)
+		t.Errorf("JoinSchema = %v", cat)
+	}
+	if proj := JoinSchema(s, u, []int{3, 0}); len(proj) != 2 || proj[0].Name != "x" || proj[1].Name != s[0].Name {
+		t.Errorf("JoinSchema(emit) = %v", proj)
 	}
 	if !strings.Contains(s.String(), "t.b VARCHAR") {
 		t.Errorf("Schema.String() = %q", s.String())
@@ -62,9 +65,16 @@ func TestRowHelpers(t *testing.T) {
 	if r[0].I != 1 {
 		t.Error("Clone did not deep-copy")
 	}
-	j := r.Concat(Row{NewFloat(2.5)})
+	j := JoinRow(r, Row{NewFloat(2.5)}, nil)
 	if len(j) != 3 || j[2].F != 2.5 {
-		t.Errorf("Concat = %v", j)
+		t.Errorf("JoinRow = %v", j)
+	}
+	p := JoinRow(r, Row{NewFloat(2.5)}, []int{2, 1})
+	if len(p) != 2 || p[0].F != 2.5 || p[1].S != "x" {
+		t.Errorf("JoinRow(emit) = %v", p)
+	}
+	if e := JoinRow(r, Row{NewFloat(2.5)}, []int{}); e == nil || len(e) != 0 {
+		t.Errorf("JoinRow(empty emit) = %#v, want a non-nil empty row", e)
 	}
 	if got := r.String(); got != "1|x" {
 		t.Errorf("Row.String() = %q", got)

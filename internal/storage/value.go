@@ -7,7 +7,9 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 )
@@ -224,6 +226,32 @@ func Equal(a, b Value) bool {
 		return a.Kind == b.Kind
 	}
 	return Compare(a, b) == 0
+}
+
+// AppendKey appends an unambiguous binary encoding of v to buf, for use in
+// hash-table keys: a kind tag, then the payload — eight fixed-width bytes
+// for BOOLEAN, BIGINT, DATE and DOUBLE, a length prefix and the bytes for
+// VARCHAR, nothing for NULL. Concatenated encodings never collide: two
+// value sequences encode to the same bytes only if they agree value by
+// value, so 'x|y','z' and 'x','y|z' differ, and so do NULL and 'NULL'.
+// Both zeros of DOUBLE encode alike, as they compare equal.
+func AppendKey(buf []byte, v Value) []byte {
+	buf = append(buf, byte(v.Kind))
+	switch v.Kind {
+	case TypeNull:
+		return buf
+	case TypeString:
+		buf = binary.AppendUvarint(buf, uint64(len(v.S)))
+		return append(buf, v.S...)
+	case TypeFloat64:
+		f := v.F
+		if f == 0 {
+			f = 0 // fold -0 into +0
+		}
+		return binary.BigEndian.AppendUint64(buf, math.Float64bits(f))
+	default:
+		return binary.BigEndian.AppendUint64(buf, uint64(v.I))
+	}
 }
 
 // ByteSize returns the approximate in-memory size of the value in bytes.

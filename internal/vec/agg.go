@@ -30,6 +30,7 @@ type HashAggregate struct {
 	publishFault *faultinject.Point
 	shared       *exec.SharedAgg
 
+	keys         *exec.GroupKeys
 	groups       map[string]*aggGroup
 	order        []string
 	memUsed      int64
@@ -95,6 +96,7 @@ func (a *HashAggregate) Open(ctx *exec.Context) error {
 	}
 	a.fault = ctx.FaultPoint(a.Name() + ":next")
 	a.publishFault = ctx.FaultPoint(a.Name() + ":publish")
+	a.keys = exec.NewGroupKeys(a.GroupBy)
 	a.groups = make(map[string]*aggGroup)
 	a.order = nil
 	ctx.ShrinkMem(a.memUsed) // reopen without Close: release stale charges
@@ -107,18 +109,6 @@ func (a *HashAggregate) Open(ctx *exec.Context) error {
 	}
 	a.opened = true
 	return nil
-}
-
-// groupAddr maps a group key to its simulated accumulator address.
-func (a *HashAggregate) groupAddr(key string) uint64 {
-	if a.tableRegion == 0 {
-		return 0
-	}
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * 1099511628211
-	}
-	return a.tableRegion + (h%a.tableBuckets)*64
 }
 
 // consume drains the child batch by batch, folding every row into its group.
@@ -137,19 +127,15 @@ func (a *HashAggregate) consume(ctx *exec.Context) error {
 		}
 		a.bits = a.bits[:0]
 		for _, row := range in {
-			keyVals := make(storage.Row, len(a.GroupBy))
-			for i, g := range a.GroupBy {
-				v, err := g.Eval(row)
-				if err != nil {
-					return err
-				}
-				keyVals[i] = v
+			enc, err := a.keys.Eval(row)
+			if err != nil {
+				return err
 			}
-			key := keyVals.String()
-			grp, ok := a.groups[key]
+			grp, ok := a.groups[string(enc)]
 			if !ok {
 				// Each new group retains its key string, key row, and one
 				// accumulator per aggregate for the life of the operator.
+				key, keyVals := string(enc), a.keys.Vals().Clone()
 				charge := int64(len(key)) + int64(keyVals.ByteSize()) +
 					int64(len(a.Aggs))*hashEntryOverhead
 				if err := ctx.GrowMem(charge); err != nil {
@@ -173,9 +159,11 @@ func (a *HashAggregate) consume(ctx *exec.Context) error {
 				}
 			}
 			// The transition functions touch the group's accumulator state.
-			addr := a.groupAddr(key)
-			ctx.Read(addr, 64)
-			ctx.Write(addr, 64)
+			if ctx.CPU != nil {
+				addr := a.keys.SimAddr(a.tableRegion, a.tableBuckets)
+				ctx.Read(addr, 64)
+				ctx.Write(addr, 64)
+			}
 			a.bits = append(a.bits, ctx.DataBits(!ok))
 		}
 		ctx.ExecModuleBatch(a.module, a.bits)

@@ -48,6 +48,7 @@ type HashJoin struct {
 	probeModule  *codemodel.Module
 	arena        *exec.Arena
 	schema       storage.Schema
+	emit         []int
 	stats        *exec.OpStats
 	fault        *faultinject.Point
 	buildFault   *faultinject.Point
@@ -83,8 +84,15 @@ func NewHashJoin(outer, inner Operator, outerKey, innerKey expr.Expr, buildModul
 		buildModule: buildModule,
 		probeModule: probeModule,
 		size:        size,
-		schema:      outer.Schema().Concat(inner.Schema()),
+		schema:      storage.JoinSchema(outer.Schema(), inner.Schema(), nil),
 	}
+}
+
+// SetEmit restricts the join's output to the given positions of
+// outer ++ inner (nil keeps every column); see storage.JoinRow.
+func (j *HashJoin) SetEmit(emit []int) {
+	j.emit = emit
+	j.schema = storage.JoinSchema(j.Outer.Schema(), j.Inner.Schema(), emit)
 }
 
 // SetShared wires the build side to the semantic reuse cache; see
@@ -206,11 +214,10 @@ func (j *HashJoin) NextBatch(ctx *exec.Context) (res Batch, err error) {
 		if j.matchPos < len(j.matches) {
 			inner := j.matches[j.matchPos]
 			j.matchPos++
-			out := j.outerRow.Concat(inner)
 			j.bits = append(j.bits, ctx.DataBits(true))
 			ctx.Read(j.bucketAddr(0), 16) // bucket chain advance
-			ctx.Write(j.arena.Alloc(out.ByteSize()), out.ByteSize())
-			j.out.append(ctx, out)
+			ctx.WriteJoinRow(j.arena, j.outerRow, inner)
+			j.out.append(ctx, storage.JoinRow(j.outerRow, inner, j.emit))
 			continue
 		}
 		if j.outerPos >= len(j.outerBatch) {

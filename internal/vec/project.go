@@ -82,7 +82,7 @@ func (p *Project) NextBatch(ctx *exec.Context) (res Batch, err error) {
 			}
 			out[i] = v
 		}
-		ctx.Write(p.arena.Alloc(out.ByteSize()), out.ByteSize())
+		ctx.WriteRow(p.arena, out)
 		p.bits = append(p.bits, ctx.DataBits(true))
 		p.out.append(ctx, out)
 	}

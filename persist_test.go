@@ -135,3 +135,31 @@ func TestPersistOpenMissingCatalog(t *testing.T) {
 		t.Fatal("open without a data dir succeeded")
 	}
 }
+
+// TestGroupByKeysDoNotCollide pins that GROUP BY keys are encoded without
+// ambiguity on every engine: values containing the old '|' separator must
+// not merge ('x|y','z' vs 'x','y|z'), and NULL must not merge with the
+// string 'NULL'.
+func TestGroupByKeysDoNotCollide(t *testing.T) {
+	db, err := bufferdb.OpenTPCH(0.001, bufferdb.Options{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	queryCell(t, db, `INSERT INTO region VALUES (100, 'x|y', 'z'), (101, 'x', 'y|z'), (102, 'NULL', 'c'), (103, NULL, 'c')`)
+	const q = `SELECT r_name, r_comment, COUNT(*) FROM region WHERE r_regionkey >= 100 GROUP BY r_name, r_comment`
+	for _, eng := range []bufferdb.Engine{bufferdb.EngineVolcano, bufferdb.EngineVec, bufferdb.EnginePush} {
+		res, err := db.Query(context.Background(), q, bufferdb.WithEngine(eng))
+		if err != nil {
+			t.Fatalf("%v: %v", eng, err)
+		}
+		if len(res.Rows) != 4 {
+			t.Fatalf("%v: %d groups, want 4: %v", eng, len(res.Rows), res.Rows)
+		}
+		for _, row := range res.Rows {
+			if n := row[2].(int64); n != 1 {
+				t.Errorf("%v: group %v has %d rows, want 1", eng, row, n)
+			}
+		}
+	}
+}
